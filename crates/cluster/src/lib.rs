@@ -46,7 +46,7 @@ pub const FAILOVER_CRASH_SITES: &[&str] = &[
 ];
 
 use logbase::server::LogBaseEngine;
-use logbase::{ServerConfig, TabletServer};
+use logbase::{RebuiltRecord, ServerConfig, TabletServer, Write};
 use logbase_common::engine::{ScanItem, StorageEngine};
 use logbase_common::metrics::MetricsHandle;
 use logbase_common::schema::{split_uniform, KeyRange, TableSchema};
@@ -793,9 +793,10 @@ impl Cluster {
             Timestamp::MAX,
             usize::MAX,
         )?;
-        for (key, ts, value) in moved {
-            server.ingest_record(&self.config.table, 0, key, ts, value)?;
-        }
+        let moved = moved
+            .into_iter()
+            .map(|(key, ts, value)| (0, key, ts, value));
+        ingest(&server, &self.config.table, moved)?;
 
         // Shrink the donor's tablet and prune its indexes.
         let donor_tablet = donor_server
@@ -885,11 +886,12 @@ impl Cluster {
         };
         heir_server.resize_tablet(&self.config.table, heir_desc.id.range_index, merged)?;
         // ...and ingests the records.
-        for (cg, items) in contents {
-            for (key, ts, value) in items {
-                heir_server.ingest_record(&self.config.table, cg, key, ts, value)?;
-            }
-        }
+        let records = contents.into_iter().flat_map(|(cg, items)| {
+            items
+                .into_iter()
+                .map(move |(key, ts, value)| (cg, key, ts, value))
+        });
+        ingest(&heir_server, &self.config.table, records)?;
         Ok(heir as usize)
     }
 
@@ -968,6 +970,25 @@ fn heartbeat_members(registry: &Registry, slots: &MemberSlots, masters: &Mutex<V
             }
         }
     }
+}
+
+/// Re-append migrated records to `server`'s log under their original
+/// versions (failover, scale-out and scale-in), one group-commit unit
+/// per `max_batch` records instead of one round trip per record.
+fn ingest(
+    server: &TabletServer,
+    table: &str,
+    records: impl IntoIterator<Item = RebuiltRecord>,
+) -> Result<()> {
+    let unit = server.config().group_commit.max_batch.max(1);
+    let mut writes = records
+        .into_iter()
+        .map(|(cg, key, ts, value)| Write::new(table, cg, key, Some(value)).at(ts))
+        .peekable();
+    while writes.peek().is_some() {
+        server.apply(0, writes.by_ref().take(unit).collect())?;
+    }
+    Ok(())
 }
 
 /// A client whose cached route raced a reassignment hit a server that

@@ -195,9 +195,7 @@ impl Master {
                 })?;
             }
             records_recovered += rebuilt.records.len();
-            for (cg, key, ts, value) in rebuilt.records {
-                heir.ingest_record(&self.table, cg, key, ts, value)?;
-            }
+            crate::ingest(&heir, &self.table, rebuilt.records)?;
             log_bytes_redone += rebuilt.log_bytes_redone;
             Metrics::incr(&metrics.tablets_reassigned);
             owners.push((route.range.start.clone(), heir_idx as u32));

@@ -19,9 +19,7 @@
 //! Index persistence (checkpoint files, §3.8) lives in [`persist`]:
 //! a snapshot is written to a DFS index file and reloaded at restart.
 
-pub mod blink;
 mod mvindex;
 pub mod persist;
 
-pub use blink::BlinkTree;
 pub use mvindex::{IndexEntry, IndexStats, MultiVersionIndex, VersionedPtr};

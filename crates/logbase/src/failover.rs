@@ -7,9 +7,10 @@
 //! assigned range, then redo only the log tail past the checkpoint with
 //! [`scan_log_tolerant`] — "the server only needs to redo the log
 //! records appended after the checkpoint". The result is the latest
-//! live version of every record in the range, ready to be
-//! `ingest_record`ed into the survivor's own log (preserving original
-//! commit timestamps, exactly like planned tablet migration).
+//! live version of every record in the range, ready to be ingested
+//! into the survivor's own log through [`crate::TabletServer::apply`]
+//! (preserving original commit timestamps, exactly like planned tablet
+//! migration).
 //!
 //! [`scan_log_tolerant`]: logbase_wal::scan_log_tolerant
 

@@ -65,7 +65,7 @@ pub use manifest::MaintenanceManifest;
 pub use read_buffer::ReadBuffer;
 pub use scheduler::{CompactionScheduler, CompactionSchedulerConfig, SchedulerHandle, TickOutcome};
 pub use segdir::SegmentDirectory;
-pub use server::{ServerConfig, ServerStats, TabletServer};
+pub use server::{ApplyError, ServerConfig, ServerStats, TabletServer, Write};
 pub use spill::SpillConfig;
 pub use txn::{lock_key_for_tests, Transaction, TxnManager};
 

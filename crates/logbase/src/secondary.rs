@@ -12,7 +12,8 @@
 //! amplification — the log remains the only data repository).
 //!
 //! Stale-entry handling: an update that changes a record's attribute
-//! leaves the old `(attr, pk)` entry behind; lookups verify each hit
+//! leaves the old `(attr, pk)` entry behind, and a delete leaves all of
+//! the key's entries behind; lookups verify each hit
 //! against the primary index (the returned version must still be the
 //! record's visible version) so stale entries are filtered, and
 //! [`TabletServer::rebuild_secondary_indexes`] garbage-collects them
@@ -60,12 +61,6 @@ impl SecondaryIndex {
             self.entries.insert(composite(&attr, pk), ts, ptr);
         }
     }
-
-    /// Drop every entry for `pk` (delete path) — requires scanning the
-    /// index, so deletes of secondary-indexed tables cost O(index);
-    /// instead we tombstone lazily: entries are verified at lookup time,
-    /// so this is a no-op kept for interface clarity.
-    pub fn on_delete(&self, _pk: &RowKey) {}
 
     /// Number of `(composite, version)` entries (including stale ones).
     pub fn len(&self) -> usize {

@@ -11,7 +11,7 @@ use crate::checkpoint::{
 };
 use crate::read_buffer::ReadBuffer;
 use crate::segdir::SegmentDirectory;
-use crate::spill::SpillConfig;
+use crate::spill::{SpillConfig, SpillableIndex};
 use crate::tablet::{TableState, TabletState};
 use logbase_common::engine::{ScanItem, StorageEngine};
 use logbase_common::metrics::{Metrics, MetricsHandle};
@@ -162,6 +162,57 @@ impl ServerConfig {
     ) -> Self {
         self.compaction_scheduler = Some(scheduler);
         self
+    }
+}
+
+/// One data write handed to [`TabletServer::apply`]: `(table, column
+/// group, key)`, the new value (`None` writes a tombstone), and the
+/// version to keep (tablet ingest; `None` takes the timestamp `apply`
+/// reserves for the batch).
+#[derive(Debug, Clone)]
+pub struct Write {
+    table: String,
+    cg: u16,
+    key: RowKey,
+    value: Option<Value>,
+    ts: Option<Timestamp>,
+}
+
+impl Write {
+    /// A write of `value` (`None` = delete) at a freshly reserved version.
+    pub fn new(table: impl Into<String>, cg: u16, key: RowKey, value: Option<Value>) -> Self {
+        Write {
+            table: table.into(),
+            cg,
+            key,
+            value,
+            ts: None,
+        }
+    }
+
+    /// Keep `ts` as the version instead of reserving one: the ingest
+    /// path of a tablet handoff, where the recipient re-appends records
+    /// to *its own* log (the paper's log-splitting, §3.8) under their
+    /// original commit timestamps so multiversion reads stay correct.
+    #[must_use]
+    pub fn at(mut self, ts: Timestamp) -> Self {
+        self.ts = Some(ts);
+        self
+    }
+}
+
+/// A failed [`TabletServer::apply`]. `logged_at` is the batch's
+/// timestamp once its entries were submitted to the log (they may be
+/// durable, and recovery decides); `None` when nothing was logged.
+#[derive(Debug)]
+pub struct ApplyError {
+    pub error: Error,
+    pub logged_at: Option<Timestamp>,
+}
+
+impl From<ApplyError> for Error {
+    fn from(e: ApplyError) -> Self {
+        e.error
     }
 }
 
@@ -393,6 +444,11 @@ impl TabletServer {
         Ok(())
     }
 
+    /// The configuration the server runs with.
+    pub fn config(&self) -> &ServerConfig {
+        &self.config
+    }
+
     /// The server's name.
     pub fn name(&self) -> &str {
         &self.config.name
@@ -579,71 +635,138 @@ impl TabletServer {
     // Data operations (§3.6)
     // ------------------------------------------------------------------
 
-    /// Insert or update one record. Appends to the log (group-commit),
-    /// then updates the in-memory index and read buffer (§3.6.1).
+    /// Insert or update one record (§3.6.1); see [`TabletServer::apply`].
     pub fn put(&self, table: &str, cg: u16, key: RowKey, value: Value) -> Result<Timestamp> {
-        let table_state = self.table(table)?;
-        let tablet = table_state.route(&key)?;
-        let index = Arc::clone(tablet.index(cg)?);
-        // Reservation: transaction snapshots exclude this timestamp until
-        // the index update below lands, so no snapshot reads a version
-        // that is durable in the log but not yet visible in the index.
-        let reservation = self.oracle.reserve();
-        let ts = reservation.timestamp();
-        let record = Record::put(key.clone(), cg, ts, value.clone());
-        let barrier = self.write_barrier.read();
-        let (_, ptr) = self.log.append(
-            table,
-            LogEntryKind::Write {
-                txn_id: 0,
-                tablet: tablet.desc.id.range_index,
-                record,
-            },
-        )?;
-        index.insert(key.clone(), ts, ptr)?;
-        drop(barrier);
-        drop(reservation);
-        for sec in self.secondary.of(table, cg) {
-            sec.insert(&key, ts, &value, ptr);
-        }
-        if let Some(rb) = &self.read_buffer {
-            rb.put(&table_state.name, cg, &key, ts, Some(value));
-        }
-        Metrics::incr(&self.metrics().records_written);
-        self.maybe_auto_checkpoint(&index)?;
-        Ok(ts)
+        Ok(self.apply(0, vec![Write::new(table, cg, key, Some(value))])?)
     }
 
-    /// Ingest a record with an externally assigned version timestamp —
-    /// the tablet-migration path: when a tablet moves between servers,
-    /// the recipient re-appends the records to *its own* log (the
-    /// paper's log-splitting, §3.8) while preserving their original
-    /// commit timestamps so multiversion reads stay correct.
-    pub fn ingest_record(
-        &self,
-        table: &str,
-        cg: u16,
-        key: RowKey,
-        ts: Timestamp,
-        value: Value,
-    ) -> Result<()> {
-        let table_state = self.table(table)?;
-        let tablet = table_state.route(&key)?;
-        let index = Arc::clone(tablet.index(cg)?);
-        let record = Record::put(key.clone(), cg, ts, value);
-        let barrier = self.write_barrier.read();
-        let (_, ptr) = self.log.append(
-            table,
-            LogEntryKind::Write {
-                txn_id: 0,
-                tablet: tablet.desc.id.range_index,
-                record,
-            },
+    /// Delete a record (§3.6.3): persist an invalidated log entry so the
+    /// delete survives recovery, then drop the key's index entries.
+    pub fn delete(&self, table: &str, cg: u16, key: &[u8]) -> Result<()> {
+        self.apply(
+            0,
+            vec![Write::new(table, cg, RowKey::copy_from_slice(key), None)],
         )?;
-        index.insert(key, ts, ptr)?;
-        drop(barrier);
-        self.oracle.advance_to(ts);
         Ok(())
+    }
+
+    /// The one data write path: puts, deletes, transaction commits and
+    /// tablet ingest all land here. In order, it
+    ///
+    /// 1. routes every write to its tablet index (an error here leaves
+    ///    no trace);
+    /// 2. reserves one timestamp for the writes that do not carry their
+    ///    own — transaction snapshots exclude it until step 4 lands, so
+    ///    no snapshot reads a version that is durable in the log but not
+    ///    yet visible in the index;
+    /// 3. submits the log entries as one group-commit unit, followed by
+    ///    a commit record when `txn_id` is nonzero (§3.7.2);
+    /// 4. updates the index (insert, or drop the key for a tombstone),
+    ///    the secondary indexes and the read buffer;
+    /// 5. counts the writes and takes an automatic checkpoint when an
+    ///    index crossed `checkpoint_threshold`.
+    ///
+    /// The read half of `write_barrier` is held from step 3 through step
+    /// 4. Returns the largest version written.
+    pub fn apply(
+        &self,
+        txn_id: u64,
+        writes: Vec<Write>,
+    ) -> std::result::Result<Timestamp, ApplyError> {
+        let unlogged = |error| ApplyError {
+            error,
+            logged_at: None,
+        };
+        let mut routed = Vec::with_capacity(writes.len());
+        for w in &writes {
+            let table = self.table(&w.table).map_err(unlogged)?;
+            let tablet = table.route(&w.key).map_err(unlogged)?;
+            let index = Arc::clone(tablet.index(w.cg).map_err(unlogged)?);
+            routed.push((table, tablet.desc.id.range_index, index));
+        }
+        let reservation = writes
+            .iter()
+            .any(|w| w.ts.is_none())
+            .then(|| self.oracle.reserve());
+        let reserved = reservation.as_ref().map(|r| r.timestamp());
+        let mut entries = Vec::with_capacity(writes.len() + 1);
+        let mut records = Vec::with_capacity(writes.len());
+        for (w, (_, tablet, _)) in writes.into_iter().zip(&routed) {
+            let ts = w.ts.or(reserved).expect("reserved when unset");
+            let record = match w.value {
+                Some(v) => Record::put(w.key, w.cg, ts, v),
+                None => Record::tombstone(w.key, w.cg, ts),
+            };
+            let kind = LogEntryKind::Write {
+                txn_id,
+                tablet: *tablet,
+                record: record.clone(),
+            };
+            entries.push((w.table, kind));
+            records.push(record);
+        }
+        let batch_ts = records
+            .iter()
+            .map(|r| r.meta.timestamp)
+            .max()
+            .unwrap_or_default();
+        if txn_id != 0 && !entries.is_empty() {
+            let commit_ts = batch_ts;
+            entries.push((
+                entries[0].0.clone(),
+                LogEntryKind::Commit { txn_id, commit_ts },
+            ));
+        }
+        let logged = |error| ApplyError {
+            error,
+            logged_at: Some(batch_ts),
+        };
+        let barrier = self.write_barrier.read();
+        let positions = self.log.append_all(entries).map_err(logged)?;
+        for ((table, _, index), (record, (_, ptr))) in
+            routed.iter().zip(records.iter().zip(positions))
+        {
+            index_record(index, record, ptr).map_err(logged)?;
+            let m = &record.meta;
+            match &record.value {
+                Some(v) => {
+                    for sec in self.secondary.of(&table.name, m.column_group) {
+                        sec.insert(&m.key, m.timestamp, v, ptr);
+                    }
+                    if let Some(rb) = &self.read_buffer {
+                        rb.put(
+                            &table.name,
+                            m.column_group,
+                            &m.key,
+                            m.timestamp,
+                            Some(v.clone()),
+                        );
+                    }
+                }
+                None => {
+                    if let Some(rb) = &self.read_buffer {
+                        rb.invalidate(&table.name, m.column_group, &m.key);
+                    }
+                }
+            }
+        }
+        drop(barrier);
+        // Kept versions (ingest) move the oracle past them; a reserved
+        // timestamp is released only now that the index updates landed.
+        if reservation.is_none() {
+            self.oracle.advance_to(batch_ts);
+        }
+        drop(reservation);
+        Metrics::add(&self.metrics().records_written, records.len() as u64);
+        let threshold = self.config.checkpoint_threshold;
+        if threshold > 0
+            && routed
+                .iter()
+                .any(|(_, _, index)| index.mem().updates_since_checkpoint() >= threshold)
+        {
+            self.checkpoint().map_err(logged)?;
+        }
+        Ok(batch_ts)
     }
 
     /// Hand a tablet off: remove it from this server's serving set and
@@ -678,14 +801,6 @@ impl TabletServer {
         Ok(())
     }
 
-    fn maybe_auto_checkpoint(&self, index: &crate::spill::SpillableIndex) -> Result<()> {
-        let threshold = self.config.checkpoint_threshold;
-        if threshold > 0 && index.mem().updates_since_checkpoint() >= threshold {
-            self.checkpoint()?;
-        }
-        Ok(())
-    }
-
     /// Latest visible value of `key` (§3.6.2).
     pub fn get(&self, table: &str, cg: u16, key: &[u8]) -> Result<Option<Value>> {
         self.get_at(table, cg, key, Timestamp::MAX)
@@ -696,7 +811,7 @@ impl TabletServer {
         let table_state = self.table(table)?;
         let tablet = table_state.route(key)?;
         let index = tablet.index(cg)?;
-        let Some(vp) = index.latest_at(key, at)? else {
+        let Some(mut vp) = index.latest_at(key, at)? else {
             return Ok(None);
         };
         Metrics::incr(&self.metrics().records_read);
@@ -713,8 +828,19 @@ impl TabletServer {
             }
             Metrics::incr(&self.metrics().cache_misses);
         }
-        let entry =
-            logbase_wal::read_entry_in(&self.dfs, &self.segdir.resolve(vp.ptr.segment), vp.ptr)?;
+        let entry = loop {
+            let name = self.segdir.resolve(vp.ptr.segment);
+            match logbase_wal::read_entry_in(&self.dfs, &name, vp.ptr) {
+                // Compaction or log GC moved this version and deleted its
+                // old segment between the probe and the read; the index
+                // already points at the new copy.
+                Err(e @ Error::FileNotFound(_)) => match index.latest_at(key, at)? {
+                    Some(moved) if moved.ptr != vp.ptr => vp = moved,
+                    _ => return Err(e),
+                },
+                read => break read?,
+            }
+        };
         let (record, _, _) = entry.as_write().ok_or_else(|| {
             Error::Corruption(format!(
                 "index pointer {} does not address a write entry",
@@ -734,33 +860,6 @@ impl TabletServer {
         let table_state = self.table(table)?;
         let tablet = table_state.route(key)?;
         Ok(tablet.index(cg)?.latest(key)?.map(|vp| vp.ts))
-    }
-
-    /// Delete a record (§3.6.3): drop its index entries, then persist an
-    /// invalidated log entry so the delete survives recovery.
-    pub fn delete(&self, table: &str, cg: u16, key: &[u8]) -> Result<()> {
-        let table_state = self.table(table)?;
-        let tablet = table_state.route(key)?;
-        let index = tablet.index(cg)?;
-        let reservation = self.oracle.reserve();
-        let ts = reservation.timestamp();
-        let record = Record::tombstone(RowKey::copy_from_slice(key), cg, ts);
-        let barrier = self.write_barrier.read();
-        self.log.append(
-            table,
-            LogEntryKind::Write {
-                txn_id: 0,
-                tablet: tablet.desc.id.range_index,
-                record,
-            },
-        )?;
-        index.remove_key(key)?;
-        drop(barrier);
-        drop(reservation);
-        if let Some(rb) = &self.read_buffer {
-            rb.invalidate(&table_state.name, cg, key);
-        }
-        Ok(())
     }
 
     /// Range scan (§3.6.4): probe the index for the latest version of
@@ -1331,17 +1430,7 @@ impl TabletServer {
             Some(t) => t,
             None => table_state.route(&record.meta.key)?,
         };
-        // Grow the tablet's index vector lazily for auto-created tables.
-        let index = match tablet.index(record.meta.column_group) {
-            Ok(i) => Arc::clone(i),
-            Err(e) => return Err(e),
-        };
-        if record.is_tombstone() {
-            index.remove_key(&record.meta.key)?;
-        } else {
-            index.insert(record.meta.key.clone(), record.meta.timestamp, ptr)?;
-        }
-        Ok(())
+        index_record(tablet.index(record.meta.column_group)?, record, ptr)
     }
 
     /// Statistics snapshot.
@@ -1370,6 +1459,18 @@ impl TabletServer {
             log_segment: self.log.writer().current_segment(),
         }
     }
+}
+
+/// Reflect one logged record in its index: insert the version, or drop
+/// every version of the key for a tombstone (§3.6.3). Shared by
+/// [`TabletServer::apply`] and log redo.
+fn index_record(index: &SpillableIndex, record: &Record, ptr: LogPtr) -> Result<()> {
+    if record.is_tombstone() {
+        index.remove_key(&record.meta.key)?;
+    } else {
+        index.insert(record.meta.key.clone(), record.meta.timestamp, ptr)?;
+    }
+    Ok(())
 }
 
 fn intersect(a: &KeyRange, b: &KeyRange) -> KeyRange {

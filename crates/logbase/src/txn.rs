@@ -22,10 +22,9 @@
 //! `crates/checker`.
 
 use crate::history::{Event, WriteRec};
-use crate::server::TabletServer;
+use crate::server::{ApplyError, TabletServer, Write};
 use bytes::BufMut;
-use logbase_common::{Error, LogPtr, Lsn, Record, Result, RowKey, Timestamp, Value};
-use logbase_wal::LogEntryKind;
+use logbase_common::{Error, Result, RowKey, Timestamp, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
@@ -242,53 +241,31 @@ impl TxnManager {
             }
         }
 
-        // Write phase: persist writes + commit record in one batch. The
-        // commit timestamp is a *reservation*: new snapshots stay below
-        // it until the index updates finish applying, so no reader can
-        // observe a half-applied commit.
-        let reservation = server.oracle().reserve();
-        let commit_ts = reservation.timestamp();
-        let (entries, applied) = match Self::build_entries(server, &txn, commit_ts) {
-            Ok(built) => built,
-            Err(e) => {
-                // Nothing was appended: a determinate abort (routing or
-                // schema error — e.g. a write to a tablet this server
-                // does not serve).
+        // Write phase: one `apply` persists the writes plus a commit
+        // record as a single group-commit unit, then updates the indexes
+        // under a reserved commit timestamp that new snapshots stay below
+        // until the updates land. Whether the batch reached the log
+        // decides how a failure is recorded: before it, a determinate
+        // abort (e.g. a write to a tablet this server does not serve);
+        // after it, the writes may be durable and replay decides, so the
+        // abort is indeterminate and carries the reserved timestamp for
+        // the checker to match a post-recovery resurrection.
+        let writes = txn
+            .writes
+            .iter()
+            .map(|(cell, value)| Write::new(&cell.0, cell.1, cell.2.clone(), value.clone()))
+            .collect();
+        let commit_ts = match server.apply(txn.id, writes) {
+            Ok(ts) => ts,
+            Err(ApplyError { error, logged_at }) => {
                 logbase_common::metrics::Metrics::incr(&server.metrics().txn_aborts);
-                Self::record_abort(server, &txn, true, None);
-                return Err(e);
+                Self::record_abort(server, &txn, logged_at.is_none(), logged_at);
+                return Err(error);
             }
         };
-        let barrier = server.write_barrier.read();
-        let positions = match server.log.append_all(entries) {
-            Ok(p) => p,
-            Err(e) => {
-                // The batch may be partially durable (torn group write):
-                // after a crash, replay decides. Record as indeterminate,
-                // with the reserved timestamp so the checker can match a
-                // post-recovery resurrection of these writes.
-                drop(barrier);
-                logbase_common::metrics::Metrics::incr(&server.metrics().txn_aborts);
-                Self::record_abort(server, &txn, false, Some(commit_ts));
-                return Err(e);
-            }
-        };
-
-        // Reflect the committed writes in the indexes and read buffer.
-        // The commit record is durable at this point, so any failure
-        // below still leaves the transaction committed for recovery —
-        // record it as indeterminate.
-        if let Err(e) = Self::apply_index_updates(server, &applied, &positions, commit_ts) {
-            drop(barrier);
-            logbase_common::metrics::Metrics::incr(&server.metrics().txn_aborts);
-            Self::record_abort(server, &txn, false, Some(commit_ts));
-            return Err(e);
-        }
-        drop(barrier);
-        // Index updates are applied: release the snapshot watermark, then
-        // record the commit so any later-recorded read at snapshot ≥
-        // commit_ts is guaranteed to find the Commit event present.
-        drop(reservation);
+        // The reservation is released: record the commit so any
+        // later-recorded read at snapshot ≥ commit_ts is guaranteed to
+        // find the Commit event present.
         if let Some(rec) = server.history_recorder() {
             rec.record(Event::commit(
                 txn.id,
@@ -308,84 +285,6 @@ impl TxnManager {
         Self::record_abort(server, &txn, true, None);
         drop(txn);
         logbase_common::metrics::Metrics::incr(&server.metrics().txn_aborts);
-    }
-
-    /// Resolve every buffered write to a log entry (plus the trailing
-    /// commit record). Pure routing/schema resolution — nothing durable
-    /// happens here, so an error is a determinate abort.
-    #[allow(clippy::type_complexity)]
-    fn build_entries(
-        server: &TabletServer,
-        txn: &Transaction,
-        commit_ts: Timestamp,
-    ) -> Result<(
-        Vec<(String, LogEntryKind)>,
-        Vec<(CellId, Option<Value>, u32)>,
-    )> {
-        let mut entries: Vec<(String, LogEntryKind)> = Vec::with_capacity(txn.writes.len() + 1);
-        let mut applied: Vec<(CellId, Option<Value>, u32)> = Vec::with_capacity(txn.writes.len());
-        for (cell, value) in &txn.writes {
-            let table_state = server.table(&cell.0)?;
-            let tablet = table_state.route(&cell.2)?;
-            let record = match value {
-                Some(v) => Record::put(cell.2.clone(), cell.1, commit_ts, v.clone()),
-                None => Record::tombstone(cell.2.clone(), cell.1, commit_ts),
-            };
-            entries.push((
-                cell.0.clone(),
-                LogEntryKind::Write {
-                    txn_id: txn.id,
-                    tablet: tablet.desc.id.range_index,
-                    record,
-                },
-            ));
-            applied.push((cell.clone(), value.clone(), tablet.desc.id.range_index));
-        }
-        let first_table = entries[0].0.clone();
-        entries.push((
-            first_table,
-            LogEntryKind::Commit {
-                txn_id: txn.id,
-                commit_ts,
-            },
-        ));
-        Ok((entries, applied))
-    }
-
-    /// Reflect durably-committed writes in the in-memory indexes and
-    /// read buffer.
-    fn apply_index_updates(
-        server: &TabletServer,
-        applied: &[(CellId, Option<Value>, u32)],
-        positions: &[(Lsn, LogPtr)],
-        commit_ts: Timestamp,
-    ) -> Result<()> {
-        for ((cell, value, _tablet), (_, ptr)) in applied.iter().zip(positions.iter()) {
-            let table_state = server.table(&cell.0)?;
-            let tablet = table_state.route(&cell.2)?;
-            let index = tablet.index(cell.1)?;
-            match value {
-                Some(v) => {
-                    index.insert(cell.2.clone(), commit_ts, *ptr)?;
-                    if let Some(rb) = &server.read_buffer {
-                        rb.put(
-                            &table_state.name,
-                            cell.1,
-                            &cell.2,
-                            commit_ts,
-                            Some(v.clone()),
-                        );
-                    }
-                }
-                None => {
-                    index.remove_key(&cell.2)?;
-                    if let Some(rb) = &server.read_buffer {
-                        rb.invalidate(&table_state.name, cell.1, &cell.2);
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     fn record_abort(

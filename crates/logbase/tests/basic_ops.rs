@@ -1,7 +1,7 @@
 //! Tablet-server data operations (§3.6): write, read, delete, scans,
 //! multiversion access, read buffer and vertical partitioning behaviour.
 
-use logbase::{ServerConfig, TabletServer};
+use logbase::{ServerConfig, TabletServer, TxnManager, Write};
 use logbase_common::schema::{KeyRange, TableSchema};
 use logbase_common::{Error, RowKey, Timestamp, Value};
 use logbase_dfs::{Dfs, DfsConfig};
@@ -332,4 +332,69 @@ fn spill_mode_keeps_serving_past_memory_budget() {
     }
     let out = s.range_scan("t", 0, &KeyRange::all(), usize::MAX).unwrap();
     assert_eq!(out.len(), 300);
+}
+
+/// `records_written` counts every data write once, whichever way it
+/// arrives: put, delete, transaction write or tablet ingest.
+#[test]
+fn records_written_counts_every_data_write() {
+    let s = server();
+    let written = || s.metrics().snapshot().records_written;
+    let mut last = written();
+    let mut expect_delta = |what: &str, n: u64| {
+        let now = written();
+        assert_eq!(now - last, n, "{what} writes counted wrong");
+        last = now;
+    };
+    s.put("t", 0, key("a"), val("v")).unwrap();
+    expect_delta("put", 1);
+    s.delete("t", 0, b"a").unwrap();
+    expect_delta("delete", 1);
+    let mut txn = TxnManager::begin(&s);
+    TxnManager::write(&mut txn, "t", 0, key("b"), val("v"));
+    TxnManager::delete(&mut txn, "t", 0, key("c"));
+    TxnManager::commit(&s, txn).unwrap();
+    expect_delta("transaction", 2);
+    let ingest = (1..=3)
+        .map(|i| Write::new("t", 0, key(&format!("m{i}")), Some(val("v"))).at(Timestamp(i)))
+        .collect();
+    s.apply(0, ingest).unwrap();
+    expect_delta("ingest", 3);
+}
+
+/// A batch with one unroutable write fails as a whole before anything
+/// reaches the log: no write of it becomes visible or is counted.
+#[test]
+fn apply_rejects_unroutable_batch_before_logging() {
+    let s = server();
+    let before = s.metrics().snapshot();
+    let batch = vec![
+        Write::new("t", 0, key("good"), Some(val("v"))),
+        Write::new("missing", 0, key("bad"), Some(val("v"))),
+    ];
+    let err = s.apply(7, batch).unwrap_err();
+    assert!(matches!(err.error, Error::Schema(_)), "{err:?}");
+    assert_eq!(err.logged_at, None);
+    let d = s.metrics().snapshot().delta_since(&before);
+    assert_eq!((d.records_written, d.wal_batched_entries), (0, 0));
+    assert!(s.get("t", 0, b"good").unwrap().is_none());
+}
+
+/// Ingested writes keep their own versions, and the oracle moves past
+/// them so the next reserved version is newer.
+#[test]
+fn ingest_keeps_versions_and_moves_the_oracle_past_them() {
+    let s = server();
+    let batch = vec![
+        Write::new("t", 0, key("a"), Some(val("old"))).at(Timestamp(900)),
+        Write::new("t", 0, key("a"), Some(val("new"))).at(Timestamp(1000)),
+    ];
+    assert_eq!(s.apply(0, batch).unwrap(), Timestamp(1000));
+    assert!(s.get_at("t", 0, b"a", Timestamp(899)).unwrap().is_none());
+    assert_eq!(
+        s.get_at("t", 0, b"a", Timestamp(999)).unwrap(),
+        Some(val("old"))
+    );
+    assert_eq!(s.get("t", 0, b"a").unwrap(), Some(val("new")));
+    assert!(s.put("t", 0, key("b"), val("v")).unwrap() > Timestamp(1000));
 }

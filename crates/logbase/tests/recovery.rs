@@ -2,9 +2,9 @@
 //! recovery from checkpoints, deletes surviving restarts, uncommitted
 //! writes ignored, repeated crashes.
 
-use logbase::{ServerConfig, TabletServer, TxnManager};
+use logbase::{ServerConfig, TabletServer, TxnManager, Write};
 use logbase_common::schema::{KeyRange, TableSchema};
-use logbase_common::{RowKey, Value};
+use logbase_common::{RowKey, Timestamp, Value};
 use logbase_dfs::{Dfs, DfsConfig};
 use std::sync::Arc;
 
@@ -229,21 +229,49 @@ fn recovery_with_multiple_checkpoints_uses_the_latest() {
     }
 }
 
+/// Every kind of data write counts toward the checkpoint threshold: 60
+/// index updates of each kind against a threshold of 25 must take at
+/// least two automatic checkpoints.
 #[test]
 fn auto_checkpoint_threshold_triggers() {
-    let dfs = Dfs::new(DfsConfig::in_memory(3, 3));
-    let s =
-        TabletServer::create(dfs, ServerConfig::new("srv").with_checkpoint_threshold(25)).unwrap();
-    s.create_table(TableSchema::single_group("t", &["v"]))
-        .unwrap();
-    for i in 0..60 {
-        s.put("t", 0, key(&format!("k{i}")), val("v")).unwrap();
+    type Op = fn(&TabletServer, &str);
+    let workloads: [(&str, Op); 4] = [
+        ("put", |s, k| {
+            s.put("t", 0, key(k), val("v")).unwrap();
+        }),
+        ("txn", |s, k| {
+            let mut txn = TxnManager::begin(s);
+            TxnManager::write(&mut txn, "t", 0, key(k), val("v"));
+            TxnManager::commit(s, txn).unwrap();
+        }),
+        ("delete", |s, k| s.delete("t", 0, k.as_bytes()).unwrap()),
+        ("ingest", |s, k| {
+            let write = Write::new("t", 0, key(k), Some(val("v"))).at(Timestamp(1));
+            s.apply(0, vec![write]).unwrap();
+        }),
+    ];
+    for (name, op) in workloads {
+        let dfs = Dfs::new(DfsConfig::in_memory(3, 3));
+        let config = ServerConfig::new("srv").with_checkpoint_threshold(25);
+        let s = TabletServer::create(dfs, config).unwrap();
+        s.create_table(TableSchema::single_group("t", &["v"]))
+            .unwrap();
+        let keys: Vec<String> = (0..60).map(|i| format!("k{i}")).collect();
+        if name == "delete" {
+            for k in &keys {
+                s.put("t", 0, key(k), val("v")).unwrap();
+            }
+        }
+        let before = s.stats().checkpoints;
+        for k in &keys {
+            op(&s, k);
+        }
+        let taken = s.stats().checkpoints - before;
+        assert!(
+            taken >= 2,
+            "{name}: expected at least two automatic checkpoints, got {taken}"
+        );
     }
-    assert!(
-        s.stats().checkpoints >= 2,
-        "expected at least two automatic checkpoints, got {}",
-        s.stats().checkpoints
-    );
 }
 
 #[test]

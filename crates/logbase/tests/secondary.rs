@@ -1,9 +1,9 @@
 //! Secondary indexes (§5 future-work extension): maintenance on the
 //! write path, stale-entry filtering, backfill and rebuild.
 
-use logbase::{ServerConfig, TabletServer};
+use logbase::{ServerConfig, TabletServer, TxnManager, Write};
 use logbase_common::schema::TableSchema;
-use logbase_common::{Error, RowKey, Value};
+use logbase_common::{Error, RowKey, Timestamp, Value};
 use logbase_dfs::{Dfs, DfsConfig};
 use std::sync::Arc;
 
@@ -86,6 +86,40 @@ fn deleted_records_disappear_from_lookups() {
         .lookup_secondary("users", 0, "by_city", b"istanbul")
         .unwrap()
         .is_empty());
+}
+
+/// Transactional writes take the same write path as puts, so they
+/// reach the secondary indexes too.
+#[test]
+fn txn_writes_reach_secondary_indexes() {
+    let s = server();
+    s.create_secondary_index("users", 0, "by_city", city_extractor())
+        .unwrap();
+    let mut txn = TxnManager::begin(&s);
+    TxnManager::write(&mut txn, "users", 0, key("u1"), "istanbul:user u1");
+    TxnManager::write(&mut txn, "users", 0, key("u2"), "singapore:user u2");
+    TxnManager::commit(&s, txn).unwrap();
+    let hits = s
+        .lookup_secondary("users", 0, "by_city", b"istanbul")
+        .unwrap();
+    let ids: Vec<&[u8]> = hits.iter().map(|(k, _, _)| &k[..]).collect();
+    assert_eq!(ids, vec![b"u1" as &[u8]]);
+}
+
+/// Records ingested under their original versions (tablet handoff)
+/// reach the secondary indexes at those versions.
+#[test]
+fn ingested_records_reach_secondary_indexes() {
+    let s = server();
+    s.create_secondary_index("users", 0, "by_city", city_extractor())
+        .unwrap();
+    let value = Value::from_static(b"istanbul:user u1");
+    let write = Write::new("users", 0, key("u1"), Some(value.clone())).at(Timestamp(7));
+    s.apply(0, vec![write]).unwrap();
+    let hits = s
+        .lookup_secondary("users", 0, "by_city", b"istanbul")
+        .unwrap();
+    assert_eq!(hits, vec![(key("u1"), Timestamp(7), value)]);
 }
 
 #[test]

@@ -6,7 +6,7 @@ use logbase::scheduler::{CompactionScheduler, CompactionSchedulerConfig};
 use logbase::{ServerConfig, TabletServer};
 use logbase_common::schema::TableSchema;
 use logbase_common::{RowKey, Value};
-use logbase_dfs::{Dfs, DfsConfig};
+use logbase_dfs::{Dfs, DfsConfig, FaultSpec, OpClass};
 use logbase_lsm::PolicyKind;
 use std::sync::Arc;
 use std::time::Duration;
@@ -260,4 +260,69 @@ fn background_scheduler_starts_with_server_and_stops_cleanly() {
     }
     s.stop_scheduler(); // explicit stop is idempotent with drop
     drop(s);
+}
+
+/// A point read whose index probe races a log-GC pass that moves the
+/// version and deletes its old segment must follow the index to the
+/// new copy instead of failing with `FileNotFound`. The read buffer is
+/// off so every read goes to the log, and slow DFS reads widen the
+/// window between probe and read.
+#[test]
+fn reads_follow_versions_moved_by_concurrent_log_gc() {
+    let dfs = Dfs::new(DfsConfig::in_memory(3, 3));
+    for node in 0..3 {
+        dfs.fault_injector().set_spec(
+            node,
+            OpClass::Read,
+            FaultSpec::slow(Duration::from_millis(1)),
+        );
+    }
+    let s = TabletServer::create(
+        dfs.clone(),
+        ServerConfig::new("srv")
+            .with_segment_bytes(4 * 1024)
+            .with_read_buffer(0),
+    )
+    .unwrap();
+    s.create_table(TableSchema::single_group("t", &["v"]))
+        .unwrap();
+    load(&s, 100, 64);
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let gc = LogGcConfig {
+        live_fraction: 1.0,
+        ..LogGcConfig::default()
+    };
+    std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..4)
+            .map(|r| {
+                let (s, stop) = (&s, &stop);
+                scope.spawn(move || {
+                    let mut reads = 0u64;
+                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        let k = format!("k{:04}", (reads * 7 + r) % 100);
+                        let v = s.get("t", 0, k.as_bytes()).unwrap();
+                        assert!(v.is_some(), "{k} vanished");
+                        reads += 1;
+                    }
+                    reads
+                })
+            })
+            .collect();
+        // Stop the readers even if a round panics, or the scope would
+        // wait for them forever.
+        let churn = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for round in 0..80 {
+                load(&s, 100, 64 + round % 3);
+                s.log_gc_with(&gc).unwrap();
+            }
+        }));
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        if let Err(panic) = churn {
+            std::panic::resume_unwind(panic);
+        }
+        for r in readers {
+            assert!(r.join().unwrap() > 0);
+        }
+    });
+    assert!(s.metrics().snapshot().log_gc_segments_reclaimed > 0);
 }

@@ -6,23 +6,25 @@
 //! improve write throughput."
 //!
 //! [`GroupCommitLog`] runs a committer thread that drains a channel of
-//! pending appends and persists them with one [`LogWriter::append_batch`]
-//! call per drain. Callers block until their entry is durable and get its
-//! `(Lsn, LogPtr)` back.
+//! submissions and persists them with one [`LogWriter::append_batch`]
+//! call per drain. A submission is one caller's whole unit (a put, or a
+//! transaction's writes plus its commit record); the caller blocks until
+//! every entry of it is durable and gets their `(Lsn, LogPtr)`s back.
 //!
 //! The batch window is adaptive rather than count-only: a batch closes
 //! when it reaches [`GroupCommitConfig::max_batch`] entries, when its
 //! encoded size reaches [`GroupCommitConfig::max_batch_bytes`], when the
 //! linger deadline [`GroupCommitConfig::max_batch_window`] expires, or —
 //! the common case under light load — as soon as no producer is in
-//! flight, so a lone writer never pays the window as latency. While the
-//! log is idle the committer blocks on its channel and performs no work
-//! at all (no polling wakeups, no DFS traffic).
+//! flight, so a lone writer never pays the window as latency. A unit is
+//! never split across batches. While the log is idle the committer
+//! blocks on its channel and performs no work at all (no polling
+//! wakeups, no DFS traffic).
 
 use crate::entry;
 use crate::writer::LogWriter;
 use crate::LogEntryKind;
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use logbase_common::codec::FRAME_HEADER_LEN;
 use logbase_common::metrics::Metrics;
 use logbase_common::{Error, LogPtr, Lsn, Result};
@@ -34,7 +36,9 @@ use std::time::{Duration, Instant};
 /// Group-commit tuning knobs.
 #[derive(Debug, Clone)]
 pub struct GroupCommitConfig {
-    /// Maximum entries folded into one log write.
+    /// Maximum entries folded into one log write. A batch closes once it
+    /// holds this many; a single unit larger than this still commits
+    /// whole, as a batch of its own.
     pub max_batch: usize,
     /// Encoded-bytes budget for one batch: the window closes as soon as
     /// the pending frames would exceed this, keeping a batch at roughly
@@ -57,25 +61,14 @@ impl Default for GroupCommitConfig {
     }
 }
 
+/// One caller's unit: entries persisted in one batch, answered together.
 struct Pending {
-    table: String,
-    kind: LogEntryKind,
-    /// Framed encoded size, computed by the producer so the committer can
-    /// close the batch on a byte budget without encoding anything.
+    entries: Vec<(String, LogEntryKind)>,
+    /// Framed encoded size of the unit, computed by the producer so the
+    /// committer can close the batch on a byte budget without encoding
+    /// anything.
     size_hint: usize,
-    done: Sender<Result<(Lsn, LogPtr)>>,
-}
-
-impl Pending {
-    fn new(table: String, kind: LogEntryKind, done: Sender<Result<(Lsn, LogPtr)>>) -> Self {
-        let size_hint = FRAME_HEADER_LEN + entry::encoded_len(&table, &kind);
-        Pending {
-            table,
-            kind,
-            size_hint,
-            done,
-        }
-    }
+    done: Sender<Result<Vec<(Lsn, LogPtr)>>>,
 }
 
 /// Batching front end over a [`LogWriter`].
@@ -83,7 +76,7 @@ pub struct GroupCommitLog {
     writer: Arc<LogWriter>,
     tx: Sender<Pending>,
     /// Producers that have claimed a slot (incremented *before* the
-    /// channel send) but whose entry the committer has not yet drained.
+    /// channel send) but whose unit the committer has not yet drained.
     /// The committer commits immediately when this hits zero: nobody is
     /// racing toward the channel, so lingering would be pure latency.
     inflight: Arc<AtomicUsize>,
@@ -117,50 +110,34 @@ impl GroupCommitLog {
 
     /// Submit one entry and block until it is durable.
     pub fn append(&self, table: &str, kind: LogEntryKind) -> Result<(Lsn, LogPtr)> {
-        let (done_tx, done_rx) = bounded(1);
+        Ok(self.append_all(vec![(table.to_string(), kind)])?[0])
+    }
+
+    /// Submit several entries as one unit and block until all are
+    /// durable. The unit lands in a single batch, so a transaction's
+    /// writes and its commit record reach the log in one DFS write.
+    pub fn append_all(&self, entries: Vec<(String, LogEntryKind)>) -> Result<Vec<(Lsn, LogPtr)>> {
+        if entries.is_empty() {
+            return Ok(Vec::new());
+        }
+        let size_hint = entries
+            .iter()
+            .map(|(table, kind)| FRAME_HEADER_LEN + entry::encoded_len(table, kind))
+            .sum();
+        let (done, done_rx) = bounded(1);
         self.inflight.fetch_add(1, Ordering::SeqCst);
-        let sent = self.tx.send(Pending::new(table.to_string(), kind, done_tx));
-        if sent.is_err() {
+        let pending = Pending {
+            entries,
+            size_hint,
+            done,
+        };
+        if self.tx.send(pending).is_err() {
             self.inflight.fetch_sub(1, Ordering::SeqCst);
             return Err(Error::Unavailable("group commit thread stopped".into()));
         }
         done_rx
             .recv()
             .map_err(|_| Error::Unavailable("group commit thread dropped request".into()))?
-    }
-
-    /// Submit several entries as one unit and block until all are durable.
-    /// Used by the transaction manager to persist a transaction's writes
-    /// plus its commit record together.
-    pub fn append_all(&self, entries: Vec<(String, LogEntryKind)>) -> Result<Vec<(Lsn, LogPtr)>> {
-        if entries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let n = entries.len();
-        let (done_tx, done_rx) = bounded(n);
-        // Claim all n slots up front so the committer keeps its batch
-        // open until the whole unit is in the channel.
-        self.inflight.fetch_add(n, Ordering::SeqCst);
-        for (sent, (table, kind)) in entries.into_iter().enumerate() {
-            if self
-                .tx
-                .send(Pending::new(table, kind, done_tx.clone()))
-                .is_err()
-            {
-                self.inflight.fetch_sub(n - sent, Ordering::SeqCst);
-                return Err(Error::Unavailable("group commit thread stopped".into()));
-            }
-        }
-        drop(done_tx);
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(
-                done_rx.recv().map_err(|_| {
-                    Error::Unavailable("group commit thread dropped request".into())
-                })??,
-            );
-        }
-        Ok(out)
     }
 }
 
@@ -176,17 +153,18 @@ impl Drop for GroupCommitLog {
     }
 }
 
-/// Drain one adaptive batch from `rx`, starting with `first`.
+/// Drain one adaptive batch of units from `rx`, starting with `first`.
 ///
 /// The batch closes on whichever bound trips first: entry count, byte
 /// budget, or linger deadline — or early, once the channel is empty, no
-/// producer is in flight, *and* the batch has reached `expect` entries.
+/// producer is in flight, *and* the batch holds `expect` units.
 ///
-/// `expect` is the size of the previous batch: the committer's estimate
-/// of how many producers are cycling against the log (each blocks on
-/// its `done` channel, so the cohort that just committed re-arrives
-/// almost together). Lingering until the cohort is back is what fills
-/// batches; a lone writer has `expect == 1` and never lingers at all.
+/// `expect` is the number of callers the previous batch served: the
+/// committer's estimate of how many producers are cycling against the
+/// log (each blocks on its `done` channel, so the cohort that just
+/// committed re-arrives almost together). Lingering until the cohort is
+/// back is what fills batches; a lone writer has `expect == 1` and never
+/// lingers at all, however many entries its last unit carried.
 fn drain_batch(
     first: Pending,
     rx: &Receiver<Pending>,
@@ -194,47 +172,37 @@ fn drain_batch(
     config: &GroupCommitConfig,
     expect: usize,
 ) -> Vec<Pending> {
-    inflight.fetch_sub(1, Ordering::SeqCst);
-    let mut bytes = first.size_hint;
-    let mut batch = vec![first];
+    let mut entries = 0;
+    let mut bytes = 0;
+    let mut batch = Vec::new();
     let deadline = Instant::now() + config.max_batch_window;
-    loop {
-        if batch.len() >= config.max_batch || bytes >= config.max_batch_bytes {
+    let mut next = Some(first);
+    while let Some(p) = next.take() {
+        inflight.fetch_sub(1, Ordering::SeqCst);
+        entries += p.entries.len();
+        bytes += p.size_hint;
+        batch.push(p);
+        if entries >= config.max_batch || bytes >= config.max_batch_bytes {
             break;
         }
-        match rx.try_recv() {
-            Ok(p) => {
-                inflight.fetch_sub(1, Ordering::SeqCst);
-                bytes += p.size_hint;
-                batch.push(p);
-                continue;
+        next = match rx.try_recv() {
+            Ok(p) => Some(p),
+            Err(TryRecvError::Disconnected) => None,
+            Err(TryRecvError::Empty) => {
+                // Commit now unless there is a concrete reason to expect
+                // more arrivals before the deadline: a producer that has
+                // claimed a slot and is racing toward the channel, or
+                // members of the previous cohort that have not re-arrived
+                // yet.
+                let now = Instant::now();
+                let settled = inflight.load(Ordering::SeqCst) == 0 && batch.len() >= expect;
+                if config.max_batch_window.is_zero() || settled || now >= deadline {
+                    None
+                } else {
+                    rx.recv_timeout(deadline - now).ok()
+                }
             }
-            Err(crossbeam::channel::TryRecvError::Empty) => {}
-            Err(crossbeam::channel::TryRecvError::Disconnected) => break,
-        }
-        if config.max_batch_window.is_zero() {
-            break;
-        }
-        // Channel empty. Commit now unless there is a concrete reason to
-        // expect more arrivals before the deadline: a producer that has
-        // claimed a slot and is racing toward the channel, or members of
-        // the previous cohort that have not re-arrived yet.
-        if inflight.load(Ordering::SeqCst) == 0 && batch.len() >= expect {
-            break;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        match rx.recv_timeout(deadline - now) {
-            Ok(p) => {
-                inflight.fetch_sub(1, Ordering::SeqCst);
-                bytes += p.size_hint;
-                batch.push(p);
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => break,
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-        }
+        };
     }
     batch
 }
@@ -245,12 +213,12 @@ fn committer_loop(
     inflight: &AtomicUsize,
     config: &GroupCommitConfig,
 ) {
-    // Self-clocking cohort estimate: how many producers the previous
-    // batch served (they all re-arrive together, being blocked on their
-    // `done` channels until the commit).
+    // Self-clocking cohort estimate: how many callers the previous batch
+    // served (they all re-arrive together, being blocked on their `done`
+    // channels until the commit).
     let mut expect = 1usize;
     loop {
-        // Block for the first entry of the batch: an idle log costs no
+        // Block for the first unit of the batch: an idle log costs no
         // wakeups and no DFS traffic.
         let first = match rx.recv() {
             Ok(p) => p,
@@ -262,56 +230,50 @@ fn committer_loop(
 
         // Hand the entries to the writer by value — the committer clones
         // nothing; `Pending` carries ownership end-to-end.
-        let mut entries = Vec::with_capacity(batch.len());
-        let mut dones = Vec::with_capacity(batch.len());
+        let mut entries = Vec::new();
+        let mut waiters = Vec::with_capacity(batch.len());
         for p in batch {
-            entries.push((p.table, p.kind));
-            dones.push(p.done);
+            waiters.push((p.entries.len(), p.done));
+            entries.extend(p.entries);
         }
         // A panic inside the append must not take the committer down with
         // waiters still blocked on their `done` channels — convert it into
         // an error for every member of the batch and keep serving.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             writer.append_batch(&entries)
-        }));
+        }))
+        .unwrap_or_else(|_| Err(Error::Unavailable("committer panicked".into())));
         match outcome {
-            Ok(Ok(positions)) => {
-                for (done, pos) in dones.into_iter().zip(positions) {
-                    let _ = done.send(Ok(pos));
+            Ok(positions) => {
+                let mut positions = positions.into_iter();
+                for (n, done) in waiters {
+                    let _ = done.send(Ok(positions.by_ref().take(n).collect()));
                 }
             }
-            // A fenced batch must stay `Fenced` for every waiter: folding
-            // it into the retriable `Unavailable` would send zombie
-            // clients into a retry loop that can never succeed.
-            Ok(Err(Error::Fenced {
-                server,
-                held,
-                current,
-            })) => {
-                for done in dones {
-                    let _ = done.send(Err(Error::Fenced {
-                        server: server.clone(),
-                        held,
-                        current,
-                    }));
-                }
-            }
-            Ok(Err(e)) => {
-                let msg = e.to_string();
-                for done in dones {
-                    let _ = done.send(Err(Error::Unavailable(format!(
-                        "group commit failed: {msg}"
-                    ))));
-                }
-            }
-            Err(_) => {
-                for done in dones {
-                    let _ = done.send(Err(Error::Unavailable(
-                        "group commit committer panicked".into(),
-                    )));
+            Err(e) => {
+                for (_, done) in waiters {
+                    let _ = done.send(Err(batch_error(&e)));
                 }
             }
         }
+    }
+}
+
+/// The error every waiter of a failed batch receives. A fenced batch
+/// stays `Fenced`: folding it into the retriable `Unavailable` would
+/// send zombie clients into a retry loop that can never succeed.
+fn batch_error(e: &Error) -> Error {
+    match e {
+        Error::Fenced {
+            server,
+            held,
+            current,
+        } => Error::Fenced {
+            server: server.clone(),
+            held: *held,
+            current: *current,
+        },
+        e => Error::Unavailable(format!("group commit failed: {e}")),
     }
 }
 
@@ -538,5 +500,74 @@ mod tests {
         let (_dfs, log) = group_log();
         log.append("t", put_kind("a", 1)).unwrap();
         drop(log); // must not hang
+    }
+
+    fn lingering_log(max_batch: usize) -> (Dfs, GroupCommitLog) {
+        let dfs = Dfs::new(DfsConfig::in_memory(3, 2));
+        let w = Arc::new(LogWriter::create(dfs.clone(), LogConfig::new("srv/log")).unwrap());
+        let config = GroupCommitConfig {
+            max_batch,
+            max_batch_window: Duration::from_secs(5),
+            ..GroupCommitConfig::default()
+        };
+        (dfs, GroupCommitLog::new(w, config))
+    }
+
+    fn unit(n: u64) -> Vec<(String, LogEntryKind)> {
+        (0..n)
+            .map(|i| ("t".to_string(), put_kind(&format!("k{i}"), i)))
+            .collect()
+    }
+
+    /// The cohort estimate counts callers, not entries: a lone producer
+    /// whose previous unit carried 4 entries must not linger for 3 more
+    /// callers that do not exist.
+    #[test]
+    fn lone_append_after_multi_entry_unit_does_not_linger() {
+        let (_dfs, log) = lingering_log(128);
+        log.append_all(unit(4)).unwrap();
+        let started = Instant::now();
+        log.append("t", put_kind("after", 9)).unwrap();
+        let waited = started.elapsed();
+        assert!(
+            waited < Duration::from_secs(1),
+            "lone append lingered {waited:?} behind a 5 s window"
+        );
+    }
+
+    /// One caller's unit is never split across batches, even when it
+    /// holds more entries than `max_batch`.
+    #[test]
+    fn oversized_unit_commits_as_one_batch() {
+        let (dfs, log) = lingering_log(2);
+        let before = dfs.metrics().snapshot();
+        let pos = log.append_all(unit(5)).unwrap();
+        let d = dfs.metrics().snapshot().delta_since(&before);
+        assert_eq!(pos.len(), 5);
+        assert_eq!((d.wal_batches_committed, d.wal_batched_entries), (1, 5));
+    }
+
+    /// Units from concurrent callers are never interleaved: each
+    /// caller's entries get consecutive LSNs.
+    #[test]
+    fn concurrent_units_get_consecutive_lsns() {
+        let (_dfs, log) = group_log();
+        let log = Arc::new(log);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                let log = Arc::clone(&log);
+                s.spawn(move || {
+                    for _ in 0..10 {
+                        let lsns: Vec<u64> = log
+                            .append_all(unit(3))
+                            .unwrap()
+                            .iter()
+                            .map(|(lsn, _)| lsn.0)
+                            .collect();
+                        assert_eq!(lsns, [lsns[0], lsns[0] + 1, lsns[0] + 2]);
+                    }
+                });
+            }
+        });
     }
 }
