@@ -1155,4 +1155,16 @@ mod tests {
         // The seat is empty but the cluster keeps serving writes.
         c.client_put(0, key(domain / 2), val("after")).unwrap();
     }
+
+    #[test]
+    fn dropped_cluster_releases_its_member_servers() {
+        let c = Cluster::create(ClusterConfig::new(3, EngineKind::LogBase)).unwrap();
+        c.client_put(0, key(1), val("v")).unwrap();
+        let member = Arc::downgrade(&c.logbase_server(0).unwrap());
+        drop(c);
+        assert!(
+            member.upgrade().is_none(),
+            "a dropped cluster must not keep its member servers alive"
+        );
+    }
 }

@@ -82,12 +82,19 @@ impl Master {
     /// time regardless of master liveness: the ownership gap must open
     /// the instant the session dies, even if the takeover itself waits
     /// for an active master.
+    ///
+    /// The registry is the master's own, so the closure holds the master
+    /// weakly: a strong handle would be a cycle that keeps the master,
+    /// and every member server it reaches, alive after the cluster drops.
     pub(crate) fn install_watcher(self: &Arc<Self>) {
-        let master = Arc::clone(self);
+        let master = Arc::downgrade(self);
         self.registry.watch_expiry(Arc::new(move |expiry| {
             if expiry.state != MemberState::TabletServer {
                 return; // master candidates demote via active_master()
             }
+            let Some(master) = master.upgrade() else {
+                return; // the cluster is gone
+            };
             let Some(idx) = find_slot(&master.slots, expiry.member) else {
                 return; // stale session: the slot was already re-registered
             };

@@ -1,10 +1,11 @@
 //! Global timestamp authority.
 
 use logbase_common::Timestamp;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Monotonic timestamp oracle shared by every server in a cluster.
 ///
@@ -27,9 +28,19 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Default)]
 pub struct TimestampOracle {
     counter: Arc<AtomicU64>,
+    inflight: Arc<Mutex<Inflight>>,
+    /// Signalled when a reservation is released while a caller waits in
+    /// [`TimestampOracle::snapshot_at_least`].
+    released: Arc<Condvar>,
+}
+
+#[derive(Debug, Default)]
+struct Inflight {
     /// Issued-but-not-yet-applied commit timestamps. `snapshot()` stays
     /// strictly below all of them.
-    inflight: Arc<Mutex<BTreeSet<u64>>>,
+    reserved: BTreeSet<u64>,
+    /// Callers blocked in [`TimestampOracle::snapshot_at_least`].
+    waiters: usize,
 }
 
 impl TimestampOracle {
@@ -43,7 +54,7 @@ impl TimestampOracle {
     pub fn starting_at(ts: Timestamp) -> Self {
         TimestampOracle {
             counter: Arc::new(AtomicU64::new(ts.0)),
-            inflight: Arc::new(Mutex::new(BTreeSet::new())),
+            ..TimestampOracle::default()
         }
     }
 
@@ -68,10 +79,10 @@ impl TimestampOracle {
         // Reservations are issued under the in-flight lock, so issue
         // order is observable here: each must exceed all earlier ones.
         debug_assert!(
-            inflight.last().is_none_or(|&m| m < ts),
+            inflight.reserved.last().is_none_or(|&m| m < ts),
             "oracle issued non-monotone reservation {ts}"
         );
-        inflight.insert(ts);
+        inflight.reserved.insert(ts);
         drop(inflight);
         CommitReservation {
             oracle: self.clone(),
@@ -88,9 +99,38 @@ impl TimestampOracle {
     /// or below which has fully installed its effects. Equals
     /// [`TimestampOracle::current`] when no reservation is in flight.
     pub fn snapshot(&self) -> Timestamp {
-        let inflight = self.inflight.lock();
+        self.snapshot_locked(&self.inflight.lock())
+    }
+
+    /// [`TimestampOracle::snapshot`] once it has reached `floor`: waits,
+    /// up to `timeout`, for every reservation at or below `floor` to be
+    /// released. A caller that saw the commit at `floor` finish gets a
+    /// snapshot that includes it, even while an older commit elsewhere
+    /// is still applying. Past the timeout, returns the snapshot as it
+    /// stands.
+    pub fn snapshot_at_least(&self, floor: Timestamp, timeout: Duration) -> Timestamp {
+        let deadline = Instant::now() + timeout;
+        let mut inflight = self.inflight.lock();
+        loop {
+            let snap = self.snapshot_locked(&inflight);
+            if snap >= floor {
+                return snap;
+            }
+            inflight.waiters += 1;
+            let timed_out = self
+                .released
+                .wait_until(&mut inflight, deadline)
+                .timed_out();
+            inflight.waiters -= 1;
+            if timed_out {
+                return self.snapshot_locked(&inflight);
+            }
+        }
+    }
+
+    fn snapshot_locked(&self, inflight: &Inflight) -> Timestamp {
         let current = self.counter.load(Ordering::SeqCst);
-        let snap = match inflight.iter().next() {
+        let snap = match inflight.reserved.first() {
             Some(&min) => min - 1,
             None => current,
         };
@@ -123,7 +163,11 @@ impl CommitReservation {
 
 impl Drop for CommitReservation {
     fn drop(&mut self) {
-        self.oracle.inflight.lock().remove(&self.ts.0);
+        let mut inflight = self.oracle.inflight.lock();
+        inflight.reserved.remove(&self.ts.0);
+        if inflight.waiters > 0 {
+            self.oracle.released.notify_all();
+        }
     }
 }
 
@@ -206,6 +250,27 @@ mod tests {
             Timestamp(3),
             "all applied: snapshot catches up"
         );
+    }
+
+    #[test]
+    fn snapshot_at_least_waits_for_older_reservations_up_to_the_timeout() {
+        let o = TimestampOracle::new();
+        let older = o.reserve(); // ts 1, still applying
+        let mine = o.reserve().timestamp(); // ts 2, applied at once
+        let wait = Duration::from_millis(20);
+        assert_eq!(
+            o.snapshot_at_least(mine, wait),
+            Timestamp(0),
+            "timed out: the snapshot as it stands"
+        );
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                std::thread::sleep(Duration::from_millis(5));
+                drop(older);
+            });
+            assert_eq!(o.snapshot_at_least(mine, Duration::from_secs(10)), mine);
+        });
+        assert_eq!(o.snapshot_at_least(mine, Duration::ZERO), mine, "no wait");
     }
 
     #[test]

@@ -19,9 +19,9 @@ use logbase_common::schema::{KeyRange, TableSchema, TabletDesc, TabletId};
 use logbase_common::{Error, LogPtr, Lsn, Record, Result, RowKey, Timestamp, Value};
 use logbase_coordination::{FencingToken, LockService, TimestampOracle};
 use logbase_dfs::Dfs;
-use logbase_index::IndexEntry;
+use logbase_index::{IndexEntry, VersionedPtr};
 use logbase_wal::{
-    Compression, GroupCommitConfig, GroupCommitLog, LogConfig, LogEntryKind, LogWriter,
+    Compression, GroupCommitConfig, GroupCommitLog, LogConfig, LogEntry, LogEntryKind, LogWriter,
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -245,6 +245,9 @@ pub struct TabletServer {
     pub(crate) tables: RwLock<HashMap<String, Arc<TableState>>>,
     pub(crate) read_buffer: Option<ReadBuffer>,
     pub(crate) oracle: TimestampOracle,
+    /// Highest commit timestamp whose `apply` finished here: a
+    /// transaction begun here takes a snapshot at least this fresh.
+    pub(crate) last_applied: AtomicU64,
     pub(crate) locks: LockService,
     /// Transaction history recorder (isolation checking); `None` unless
     /// installed via [`TabletServer::set_history_recorder`]. The atomic
@@ -334,6 +337,7 @@ impl TabletServer {
             validate_writes: AtomicBool::new(true),
             ckpt_seq: AtomicU64::new(0),
             checkpoints_taken: AtomicU64::new(0),
+            last_applied: AtomicU64::new(0),
             compactions_run: AtomicU64::new(0),
             maintenance: Mutex::new(()),
             write_barrier: RwLock::new(()),
@@ -757,6 +761,7 @@ impl TabletServer {
             self.oracle.advance_to(batch_ts);
         }
         drop(reservation);
+        self.last_applied.fetch_max(batch_ts.0, Ordering::SeqCst);
         Metrics::add(&self.metrics().records_written, records.len() as u64);
         let threshold = self.config.checkpoint_threshold;
         if threshold > 0
@@ -784,7 +789,7 @@ impl TabletServer {
         let mut contents = Vec::new();
         for (cg, index) in tablet.indexes.iter().enumerate() {
             let entries = index.range_latest_at(&tablet.desc.range, Timestamp::MAX, usize::MAX)?;
-            let items = self.fetch_entries(entries)?;
+            let items = self.fetch_entries(entries, &|key| index.latest_at(key, Timestamp::MAX))?;
             contents.push((cg as u16, items));
         }
         Ok((tablet.desc.clone(), contents))
@@ -811,7 +816,7 @@ impl TabletServer {
         let table_state = self.table(table)?;
         let tablet = table_state.route(key)?;
         let index = tablet.index(cg)?;
-        let Some(mut vp) = index.latest_at(key, at)? else {
+        let Some(vp) = index.latest_at(key, at)? else {
             return Ok(None);
         };
         Metrics::incr(&self.metrics().records_read);
@@ -828,30 +833,34 @@ impl TabletServer {
             }
             Metrics::incr(&self.metrics().cache_misses);
         }
-        let entry = loop {
-            let name = self.segdir.resolve(vp.ptr.segment);
-            match logbase_wal::read_entry_in(&self.dfs, &name, vp.ptr) {
-                // Compaction or log GC moved this version and deleted its
-                // old segment between the probe and the read; the index
-                // already points at the new copy.
-                Err(e @ Error::FileNotFound(_)) => match index.latest_at(key, at)? {
-                    Some(moved) if moved.ptr != vp.ptr => vp = moved,
-                    _ => return Err(e),
-                },
-                read => break read?,
-            }
-        };
-        let (record, _, _) = entry.as_write().ok_or_else(|| {
-            Error::Corruption(format!(
-                "index pointer {} does not address a write entry",
-                vp.ptr
-            ))
-        })?;
-        let value = record.value.clone();
+        let (vp, entry) = self.read_version(vp, || index.latest_at(key, at))?;
+        let value = written_value(&entry, vp.ptr)?;
         if let Some(rb) = &self.read_buffer {
             rb.put(&table_state.name, cg, key, vp.ts, value.clone());
         }
         Ok(value)
+    }
+
+    /// Read the log entry behind `vp`. Compaction or log GC may move the
+    /// version and delete its old segment between the index probe and
+    /// this read; then `reprobe`, the same probe again, yields the moved
+    /// pointer, which is followed. Gives up only when the pointer did not
+    /// change.
+    fn read_version(
+        &self,
+        mut vp: VersionedPtr,
+        reprobe: impl Fn() -> Result<Option<VersionedPtr>>,
+    ) -> Result<(VersionedPtr, LogEntry)> {
+        loop {
+            let name = self.segdir.resolve(vp.ptr.segment);
+            match logbase_wal::read_entry_in(&self.dfs, &name, vp.ptr) {
+                Err(e @ Error::FileNotFound(_)) => match reprobe()? {
+                    Some(moved) if moved.ptr != vp.ptr => vp = moved,
+                    _ => return Err(e),
+                },
+                read => return Ok((vp, read?)),
+            }
+        }
     }
 
     /// Version timestamp of the latest visible write of `key` (used by
@@ -917,7 +926,7 @@ impl TabletServer {
         let threads = threads.max(1);
         let mut entries: Vec<IndexEntry> = Vec::new();
         if threads == 1 || tablets.len() <= 1 {
-            for tablet in tablets {
+            for tablet in &tablets {
                 if entries.len() >= limit {
                     break;
                 }
@@ -972,13 +981,22 @@ impl TabletServer {
                 entries.extend(probed.into_iter().take(room));
             }
         }
-        self.fetch_entries_threads(entries, threads)
+        let reprobe = |key: &[u8]| match tablets.iter().find(|t| t.desc.range.contains(key)) {
+            Some(tablet) => tablet.index(cg)?.latest_at(key, at),
+            None => Ok(None),
+        };
+        self.fetch_entries_threads(entries, &reprobe, threads)
     }
 
     /// Fetch the records behind a batch of index entries, preserving the
-    /// input order in the result.
-    fn fetch_entries(&self, entries: Vec<IndexEntry>) -> Result<Vec<ScanItem>> {
-        self.fetch_entries_threads(entries, self.resolved_scan_threads())
+    /// input order in the result. `reprobe(key)` repeats the index probe
+    /// that produced an entry (see [`TabletServer::read_version`]).
+    fn fetch_entries(
+        &self,
+        entries: Vec<IndexEntry>,
+        reprobe: &Reprobe<'_>,
+    ) -> Result<Vec<ScanItem>> {
+        self.fetch_entries_threads(entries, reprobe, self.resolved_scan_threads())
     }
 
     /// [`TabletServer::fetch_entries`] with an explicit worker count.
@@ -986,10 +1004,12 @@ impl TabletServer {
     /// (gap ≤ `scan_coalesce_gap`); each run is one batched DFS read
     /// that decodes all of its entries, and runs execute on a bounded
     /// worker pool. Result order is the input entry order regardless of
-    /// which worker decoded which run.
+    /// which worker decoded which run. A run whose segment was deleted
+    /// under it is read again entry by entry, following moved pointers.
     fn fetch_entries_threads(
         &self,
         entries: Vec<IndexEntry>,
+        reprobe: &Reprobe<'_>,
         threads: usize,
     ) -> Result<Vec<ScanItem>> {
         if entries.is_empty() {
@@ -1026,16 +1046,31 @@ impl TabletServer {
             let start = entries[run[0]].ptr.offset;
             let last = &entries[*run.last().expect("non-empty run")];
             let end = last.ptr.offset + u64::from(last.ptr.len);
-            let window = self.dfs.read(&name, start, end - start)?;
             let mut items = Vec::with_capacity(run.len());
-            for &i in run {
-                let e = &entries[i];
-                let entry = logbase_wal::decode_entry_in_window(&window, start, e.ptr, &name)?;
-                let (record, _, _) = entry.as_write().ok_or_else(|| {
-                    Error::Corruption(format!("scan pointer {} is not a write", e.ptr))
-                })?;
-                if let Some(v) = record.value.clone() {
-                    items.push((i, (e.key.clone(), e.ts, v)));
+            match self.dfs.read(&name, start, end - start) {
+                Err(Error::FileNotFound(_)) => {
+                    for &i in run {
+                        let e = &entries[i];
+                        let vp = VersionedPtr {
+                            ts: e.ts,
+                            ptr: e.ptr,
+                        };
+                        let (vp, entry) = self.read_version(vp, || reprobe(&e.key))?;
+                        if let Some(v) = written_value(&entry, vp.ptr)? {
+                            items.push((i, (e.key.clone(), vp.ts, v)));
+                        }
+                    }
+                }
+                window => {
+                    let window = window?;
+                    for &i in run {
+                        let e = &entries[i];
+                        let entry =
+                            logbase_wal::decode_entry_in_window(&window, start, e.ptr, &name)?;
+                        if let Some(v) = written_value(&entry, e.ptr)? {
+                            items.push((i, (e.key.clone(), e.ts, v)));
+                        }
+                    }
                 }
             }
             Ok(items)
@@ -1471,6 +1506,20 @@ fn index_record(index: &SpillableIndex, record: &Record, ptr: LogPtr) -> Result<
         index.insert(record.meta.key.clone(), record.meta.timestamp, ptr)?;
     }
     Ok(())
+}
+
+/// Repeats the index probe behind a scan entry: the version of `key`
+/// visible at the scan's snapshot.
+type Reprobe<'a> = dyn Fn(&[u8]) -> Result<Option<VersionedPtr>> + Sync + 'a;
+
+/// The value a write entry stored (`None` for a tombstone).
+fn written_value(entry: &LogEntry, ptr: LogPtr) -> Result<Option<Value>> {
+    let (record, _, _) = entry.as_write().ok_or_else(|| {
+        Error::Corruption(format!(
+            "index pointer {ptr} does not address a write entry"
+        ))
+    })?;
+    Ok(record.value.clone())
 }
 
 fn intersect(a: &KeyRange, b: &KeyRange) -> KeyRange {

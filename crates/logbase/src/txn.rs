@@ -26,6 +26,7 @@ use crate::server::{ApplyError, TabletServer, Write};
 use bytes::BufMut;
 use logbase_common::{Error, Result, RowKey, Timestamp, Value};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 /// A cell addressed by a transaction: `(table, column group, key)`.
@@ -97,19 +98,32 @@ impl TxnManager {
     /// Default bound on lock acquisition during validation.
     pub const LOCK_TIMEOUT: Duration = Duration::from_secs(5);
 
+    /// How long `begin` waits for older in-flight commits before taking
+    /// a snapshot below this server's latest finished write.
+    pub const SNAPSHOT_WAIT: Duration = Duration::from_millis(100);
+
     /// Begin a transaction at the current consistent snapshot.
     ///
     /// The snapshot comes from the oracle's in-flight watermark
     /// ([`logbase_coordination::TimestampOracle::snapshot`]), never the
     /// raw counter: a commit whose index updates are still being applied
-    /// is excluded, so the snapshot is always fully consistent. The
-    /// transaction id comes from the cluster-shared lock service —
+    /// is excluded, so the snapshot is always fully consistent. It also
+    /// includes every write that finished on this server before `begin`:
+    /// the oracle is shared, so an older commit still applying on
+    /// another member would otherwise hold the snapshot below this
+    /// server's own latest writes, and validation would abort a
+    /// transaction that read them at the stale snapshot. `begin` waits
+    /// up to [`TxnManager::SNAPSHOT_WAIT`] for such a commit.
+    /// The transaction id comes from the cluster-shared lock service —
     /// lock ownership is keyed by it, so per-server counters would
     /// alias owners across servers.
     pub fn begin(server: &TabletServer) -> Transaction {
+        let floor = Timestamp(server.last_applied.load(Ordering::SeqCst));
         let txn = Transaction {
             id: server.locks.next_txn_id(),
-            snapshot: server.oracle().snapshot(),
+            snapshot: server
+                .oracle()
+                .snapshot_at_least(floor, Self::SNAPSHOT_WAIT),
             reads: HashMap::new(),
             writes: BTreeMap::new(),
         };

@@ -431,3 +431,35 @@ fn visible_version_at_compaction_boundary() {
     ));
     assert_eq!(s.get("t", 0, b"k").unwrap(), Some(val("v2")));
 }
+
+/// A transaction begun on a server after one of its writes finished
+/// sees that write, even while a commit reserved earlier on the shared
+/// oracle (another member's) is still applying. A snapshot held below
+/// that commit would miss the server's own write, and validation would
+/// abort a transaction that nothing raced.
+#[test]
+fn snapshot_includes_own_finished_writes_despite_older_inflight_commit() {
+    let dfs = Dfs::new(DfsConfig::in_memory(3, 3));
+    let oracle = logbase_coordination::TimestampOracle::new();
+    let locks = logbase_coordination::LockService::new();
+    let s =
+        TabletServer::create_with(dfs, ServerConfig::new("srv"), oracle.clone(), locks).unwrap();
+    s.create_table(TableSchema::single_group("t", &["v"]))
+        .unwrap();
+    let other_member = oracle.reserve();
+    s.put("t", 0, key("k"), val("v1")).unwrap();
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            drop(other_member);
+        });
+        let mut txn = TxnManager::begin(&s);
+        assert_eq!(
+            TxnManager::read(&s, &mut txn, "t", 0, b"k").unwrap(),
+            Some(val("v1"))
+        );
+        TxnManager::write(&mut txn, "t", 0, key("k"), val("v2"));
+        TxnManager::commit(&s, txn).unwrap();
+    });
+    assert_eq!(s.get("t", 0, b"k").unwrap(), Some(val("v2")));
+}

@@ -4,7 +4,7 @@
 use logbase::compaction::{CompactionConfig, CompactionInputs, LogGcConfig};
 use logbase::scheduler::{CompactionScheduler, CompactionSchedulerConfig};
 use logbase::{ServerConfig, TabletServer};
-use logbase_common::schema::TableSchema;
+use logbase_common::schema::{KeyRange, TableSchema};
 use logbase_common::{RowKey, Value};
 use logbase_dfs::{Dfs, DfsConfig, FaultSpec, OpClass};
 use logbase_lsm::PolicyKind;
@@ -262,13 +262,11 @@ fn background_scheduler_starts_with_server_and_stops_cleanly() {
     drop(s);
 }
 
-/// A point read whose index probe races a log-GC pass that moves the
-/// version and deletes its old segment must follow the index to the
-/// new copy instead of failing with `FileNotFound`. The read buffer is
-/// off so every read goes to the log, and slow DFS reads widen the
-/// window between probe and read.
-#[test]
-fn reads_follow_versions_moved_by_concurrent_log_gc() {
+/// Runs 4 reader threads, each calling `read(server, reader, round)`
+/// in a loop, while 80 rounds of load + log GC move every version and
+/// delete its old segment. The read buffer is off so every read goes to
+/// the log, and slow DFS reads widen the window between probe and read.
+fn read_under_concurrent_log_gc(read: impl Fn(&TabletServer, u64, u64) + Sync) {
     let dfs = Dfs::new(DfsConfig::in_memory(3, 3));
     for node in 0..3 {
         dfs.fault_injector().set_spec(
@@ -295,13 +293,11 @@ fn reads_follow_versions_moved_by_concurrent_log_gc() {
     std::thread::scope(|scope| {
         let readers: Vec<_> = (0..4)
             .map(|r| {
-                let (s, stop) = (&s, &stop);
+                let (s, stop, read) = (&s, &stop, &read);
                 scope.spawn(move || {
                     let mut reads = 0u64;
                     while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        let k = format!("k{:04}", (reads * 7 + r) % 100);
-                        let v = s.get("t", 0, k.as_bytes()).unwrap();
-                        assert!(v.is_some(), "{k} vanished");
+                        read(s, r, reads);
                         reads += 1;
                     }
                     reads
@@ -325,4 +321,36 @@ fn reads_follow_versions_moved_by_concurrent_log_gc() {
         }
     });
     assert!(s.metrics().snapshot().log_gc_segments_reclaimed > 0);
+}
+
+/// A point read whose index probe races a log-GC pass that moves the
+/// version and deletes its old segment must follow the index to the
+/// new copy instead of failing with `FileNotFound`.
+#[test]
+fn reads_follow_versions_moved_by_concurrent_log_gc() {
+    read_under_concurrent_log_gc(|s, r, reads| {
+        let k = format!("k{:04}", (reads * 7 + r) % 100);
+        let v = s.get("t", 0, k.as_bytes()).unwrap();
+        assert!(v.is_some(), "{k} vanished");
+    });
+}
+
+/// The same race on the range-scan path: a scan whose coalesced read
+/// finds its segment deleted re-probes each key of the run at the
+/// scan's snapshot and follows the moved pointers.
+#[test]
+fn scans_follow_versions_moved_by_concurrent_log_gc() {
+    read_under_concurrent_log_gc(|s, r, reads| {
+        let first = (reads * 7 + r) % 90;
+        let range = KeyRange::new(
+            key(&format!("k{first:04}")),
+            key(&format!("k{:04}", first + 10)),
+        );
+        let items = s.range_scan("t", 0, &range, 10).unwrap();
+        let keys: Vec<RowKey> = items.into_iter().map(|(k, _, _)| k).collect();
+        let expected: Vec<RowKey> = (first..first + 10)
+            .map(|i| key(&format!("k{i:04}")))
+            .collect();
+        assert_eq!(keys, expected, "scan from k{first:04}");
+    });
 }
